@@ -188,6 +188,9 @@ class LeafStore:
         #: Opaque identity for cache keys (see module docstring of
         #: :mod:`repro.storage.sample_cache`); bumped by :meth:`free`.
         self.cache_token = next(_CACHE_TOKENS)
+        #: Pages requested by :meth:`read_leaf_view`, for the cost-conservation
+        #: check in :func:`repro.analysis.invariants.check_sample`.
+        self.pages_read = 0
 
     @property
     def num_leaves(self) -> int:
@@ -244,8 +247,8 @@ class LeafStore:
         span = last - first + 1
         # Every simulated page read below is attributed to this counter;
         # check_sample verifies the attribution balances (cost conservation).
-        TRACER.count("leaf_store.pages_read", span)
-        with TRACER.span("leaf_store.read_leaf", disk=self.disk, detail=True) as sp:
+        self.pages_read += span
+        with TRACER.span("leaf_store.read_leaf", disk=self.disk) as sp:
             if sp is not None:
                 sp.attrs["leaf"] = leaf_index
                 sp.attrs["pages"] = span

@@ -13,7 +13,8 @@ those layers:
   prefix of the sample stream must be statistically uniform over the
   matching population (chi-square against the exact per-cell matching
   counts), and every simulated page read during the query must be
-  attributed to exactly one ``PROFILE`` counter (cost conservation).
+  attributed to the leaf store's ``pages_read`` counter (cost
+  conservation).
 * :func:`check_stream` — white-box invariants of a live
   :class:`~repro.acetree.query.SampleStream` (toggle bits in range,
   buffered-record accounting exact).
@@ -26,13 +27,13 @@ with the bench CLI's ``--sanitize`` flag or call them from tests.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from scipy.stats import chi2 as _chi2
+
 from ..core.errors import InvariantViolation
-from ..core.profile import PROFILE
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..acetree.query import SampleStream
@@ -242,7 +243,7 @@ def check_sample(
     chi-square-tested against the exact per-leaf-cell composition of the
     full matching population; a uniform random prefix matches those
     proportions.  Every simulated page read during the query must equal the
-    pages attributed to the ``leaf_store.pages_read`` PROFILE counter.
+    pages attributed to the tree's ``LeafStore.pages_read`` counter.
 
     The stream is deterministic given ``(tree, query, seed)``, so a pass or
     failure is exactly reproducible — there is no test flakiness, only
@@ -254,27 +255,22 @@ def check_sample(
     """
     geometry = tree.geometry
     key_of = tree.schema.keys_getter(tree.key_fields)
-    profile_was_enabled = PROFILE.enabled
-    PROFILE.enable()
-    pages_attr_before = PROFILE.counter("leaf_store.pages_read")
-    try:
-        with tree.disk.unmetered():
-            stream = tree.sample(query, seed=seed)
-            emitted: list = []
-            for batch in stream:
-                check_stream(stream)
-                emitted.extend(batch.records)
-            pages_read = tree.disk.stats.page_reads
-            leaves_read = stream.stats.leaves_read
-    finally:
-        if not profile_was_enabled:
-            PROFILE.disable()
-    pages_attributed = PROFILE.counter("leaf_store.pages_read") - pages_attr_before
+    store = tree.leaf_store
+    pages_attr_before = store.pages_read
+    with tree.disk.unmetered():
+        stream = tree.sample(query, seed=seed)
+        emitted: list = []
+        for batch in stream:
+            check_stream(stream)
+            emitted.extend(batch.records)
+        pages_read = tree.disk.stats.page_reads
+        leaves_read = stream.stats.leaves_read
+    pages_attributed = store.pages_read - pages_attr_before
 
     if pages_read != pages_attributed:
         _fail(
             f"cost conservation broken: disk served {pages_read} page "
-            f"reads, PROFILE attributes {pages_attributed}"
+            f"reads, the leaf store attributes {pages_attributed}"
         )
 
     population = len(emitted)
@@ -316,7 +312,7 @@ def check_sample(
     p_value = 1.0
     if len(bins) >= 2:
         chi2 = sum((obs - exp) ** 2 / exp for exp, obs in bins)
-        p_value = _chi2_sf(chi2, len(bins) - 1)
+        p_value = float(_chi2.sf(chi2, len(bins) - 1))
         if p_value < alpha:
             _fail(
                 f"sample prefix rejects uniformity: chi2={chi2:.2f} over "
@@ -592,23 +588,3 @@ class SanitizedDict(dict):
     def update(self, *args, **kwargs):
         self._sanitizer.note_write(self._structure, "update")
         super().update(*args, **kwargs)
-
-
-def _chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function, with a scipy-free fallback.
-
-    scipy is a declared dependency, but the checker stays usable in
-    minimal environments via the Wilson-Hilferty normal approximation
-    (accurate to ~1e-3 for the p-range that matters here).
-    """
-    try:
-        from scipy.stats import chi2 as _chi2  # noqa: PLC0415
-
-        return float(_chi2.sf(x, df))
-    except ImportError:  # pragma: no cover - scipy is normally present
-        if x <= 0:
-            return 1.0
-        z = ((x / df) ** (1.0 / 3.0) - (1.0 - 2.0 / (9.0 * df))) / math.sqrt(
-            2.0 / (9.0 * df)
-        )
-        return 0.5 * math.erfc(z / math.sqrt(2.0))

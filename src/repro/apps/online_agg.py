@@ -161,7 +161,7 @@ def aggregate_stream(
             continue
         # One estimate tick per batch; the span carries the running error
         # and closes before the yield (no span across generator suspension).
-        with TRACER.span("online_agg.tick", detail=True) as sp:
+        with TRACER.span("online_agg.tick") as sp:
             aggregator.update(batch.records)
             low, high = aggregator.mean_interval()
             if TRACER.enabled:

@@ -23,7 +23,6 @@ from typing import Callable
 from ..acetree import AceBuildParams, build_ace_tree
 from ..core import Field, Schema
 from ..core.intervals import Box, Interval
-from ..core.profile import PROFILE
 from ..core.rng import derive_random
 from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
@@ -116,27 +115,13 @@ def _sort_benchmarks(n: int, repeat: int) -> dict:
 
 
 def _build_benchmarks(n: int, repeat: int) -> dict:
-    """ACE-Tree bulk construction throughput, with a phase breakdown."""
+    """ACE-Tree bulk construction throughput."""
     params = AceBuildParams(key_fields=("k",), height=8, seed=3)
-    best = float("inf")
-    breakdown: dict = {}
-    for _ in range(repeat):
-        rel = _fresh_relation(n)
-        PROFILE.reset()
-        started = time.perf_counter()
-        build_ace_tree(rel, params)
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-            breakdown = {
-                name: PROFILE.seconds(name)
-                for name in (
-                    "ace_build.phase1",
-                    "ace_build.phase2",
-                    "external_sort.run_generation",
-                    "external_sort.merge",
-                )
-            }
+    best = _best_of(
+        repeat,
+        lambda: _fresh_relation(n),
+        lambda rel: build_ace_tree(rel, params),
+    )
     rel = _fresh_relation(n)
     disk = rel.disk
     clock0, stats0 = disk.clock, disk.stats.snapshot()
@@ -145,7 +130,6 @@ def _build_benchmarks(n: int, repeat: int) -> dict:
     return {
         "records_per_s": n / best,
         "seconds": best,
-        "best_run_profile_seconds": breakdown,
         "sim_seconds": disk.clock - clock0,
         "page_reads": delta.page_reads,
         "page_writes": delta.page_writes,
@@ -368,14 +352,11 @@ def _serve_benchmarks(n: int, repeat: int) -> tuple[dict, dict]:
 
 
 def _span_overhead_benchmarks(repeat: int) -> dict:
-    """Per-span cost of ``TRACER.span`` on its cheap paths, in ns.
+    """Per-span cost of ``TRACER.span`` with tracing disabled, in ns.
 
-    ``noop``: tracing *and* profiling disabled — returns the shared no-op
-    singleton without touching any clock.  ``detail``: tracing disabled,
-    ``detail=True`` — the hot-loop path production query runs take (one
-    call + branch, no clock reads, regardless of the profiler).  ``timer``:
-    tracing disabled, profiler enabled, phase-level span — one
-    ``perf_counter`` pair plus a locked dictionary update.
+    The call returns the shared no-op singleton without touching any clock;
+    every span in the library, phase-level or hot-loop, takes this path on
+    an untraced run.
     """
     spans = 50_000
 
@@ -385,35 +366,17 @@ def _span_overhead_benchmarks(repeat: int) -> dict:
             with span("micro.noop"):
                 pass
 
-    def loop_detail(_state) -> None:
-        span = TRACER.span
-        for _ in range(spans):
-            with span("micro.noop", detail=True):
-                pass
-
     tracer_was = TRACER.enabled
-    profile_was = PROFILE.enabled
     TRACER.disable()
     try:
-        detail_s = _best_of(repeat, lambda: None, loop_detail)
-        PROFILE.disable()
-        try:
-            noop_s = _best_of(repeat, lambda: None, loop)
-        finally:
-            if profile_was:
-                PROFILE.enable()
-        timer_s = _best_of(repeat, lambda: None, loop) if profile_was else None
+        noop_s = _best_of(repeat, lambda: None, loop)
     finally:
         if tracer_was:
             TRACER.enable()
-    result = {
+    return {
         "spans_per_run": spans,
         "noop_ns_per_span": noop_s / spans * 1e9,
-        "detail_ns_per_span": detail_s / spans * 1e9,
     }
-    if timer_s is not None:
-        result["timer_ns_per_span"] = timer_s / spans * 1e9
-    return result
 
 
 def _label_overhead_benchmarks(repeat: int) -> dict:
@@ -633,9 +596,6 @@ def run_micro(n: int = 20_000, repeat: int = 5, figures: bool = False) -> dict:
     results["serve"] = serve_det
     if figures:
         results["figure_sim"] = _figure_benchmarks()
-    # The aggregate profile over the whole suite (the last reset happens in
-    # _build_benchmarks, so timers cover the build/query/span sections).
-    results["profile"] = PROFILE.snapshot()
     if TRACER.enabled:
         results["metrics"] = METRICS.snapshot()
     return results

@@ -10,9 +10,8 @@ the modeled hardware would charge).  This package provides that view:
   operation (a build phase, a sort run, a Shuttle stab, a leaf read) and
   records both clocks at entry/exit plus the simulated page-read/write
   deltas, structured attributes, and its position in the per-operation
-  trace tree.  When tracing is disabled the ``span()`` call degrades to the
-  wall-clock aggregate path (feeding :data:`repro.core.profile.PROFILE`) or
-  to a shared no-op object, so instrumentation can stay in hot paths.
+  trace tree.  When tracing is disabled the ``span()`` call returns a
+  shared no-op object, so instrumentation can stay in hot paths.
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket histograms
   (records-per-page-read, stab depth, time-to-first-k-samples, ...), each
   a *family* whose ``labels()`` children break the value down by dimension

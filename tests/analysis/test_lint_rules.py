@@ -173,8 +173,8 @@ class TestObs001:
         assert lint_file(path) == []
 
     def test_non_registry_receivers_exempt(self, tmp_path):
-        # PROFILE.counter() *reads* a profiler counter; only registry
-        # constructors are name-checked.
+        # .counter() on a receiver other than the metrics registry is not
+        # a metric constructor; only registry constructors are name-checked.
         target = tmp_path / "repro" / "apps"
         target.mkdir(parents=True)
         path = target / "prof.py"

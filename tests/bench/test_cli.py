@@ -48,18 +48,14 @@ class TestFigures:
 
 
 class TestBench:
-    def test_json_output_includes_profile_snapshot(self, capsys):
+    def test_json_output_includes_span_overhead(self, capsys):
         import json
 
         assert main(["bench", "--json", "--n", "1500", "--repeat", "1"]) == 0
         results = json.loads(capsys.readouterr().out)
-        assert "profile" in results
-        timers = results["profile"]["timers"]
-        assert "ace_build.phase1" in timers
-        assert timers["ace_build.phase1"]["calls"] >= 1
+        assert results["ace_build"]["records_per_s"] > 0
         overhead = results["span_overhead"]
         assert overhead["noop_ns_per_span"] < 5_000  # near-free when disabled
-        assert overhead["detail_ns_per_span"] < 5_000
         assert results["ace_query"]["samples_per_s"] > 0
         program = results["program_lint"]
         # The blocking CI pass must stay inside its 5-second budget.
