@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,7 +41,11 @@ from ..core.records import Record, Schema
 from ..core.rng import derive_random
 from ..obs.tracer import TRACER
 from ..storage.disk import DiskStats
-from ..storage.external_sort import external_sort, external_sort_to_sink
+from ..storage.external_sort import (
+    MergedStream,
+    external_sort,
+    external_sort_to_sink,
+)
 from ..storage.heapfile import HeapFile
 from .analysis import expected_section_size
 from .geometry import TreeGeometry, choose_height
@@ -48,6 +53,9 @@ from .storage import LeafStore, LeafStoreWriter
 from .tree import AceTree
 
 __all__ = ["AceBuildParams", "AceBuildReport", "build_ace_tree"]
+
+#: Leading columns of a Phase 2 decorated row (the packed record follows).
+_DECORATION = np.dtype([("leaf", "<i8"), ("section", "<i8")])
 
 
 @dataclass(frozen=True)
@@ -270,6 +278,9 @@ def build_ace_tree(source: HeapFile, params: AceBuildParams) -> AceTree:
 
     def build_leaves(stream: Iterator[Record]) -> LeafStore:
         writer = LeafStoreWriter(disk, source.schema, height, num_leaves)
+        if isinstance(stream, MergedStream) and stream.rows is not None:
+            _append_leaf_rows(writer, stream, height, num_leaves)
+            return writer.finish()
         append_leaf = writer.append_leaf
         current = -1
         sections: list[list[Record]] = []
@@ -323,6 +334,36 @@ def build_ace_tree(source: HeapFile, params: AceBuildParams) -> AceTree:
     )
 
 
+def _append_leaf_rows(
+    writer: LeafStoreWriter, merged: MergedStream, height: int, num_leaves: int
+) -> None:
+    """Phase 2's leaf sink over the merged decorated rows, at byte level.
+
+    A decorated row is ``leaf`` and ``section`` (two ``<i8``) followed by
+    the packed record, and the rows arrive sorted by (leaf, section), so a
+    leaf's payload is its rows' record bytes taken as they stand.  Leaf
+    boundaries come from ``searchsorted`` on the leaf column and section
+    counts from one ``bincount``.  The record sink appends a leaf once it
+    pulls the first record past it, so leaf ``L`` ending at position ``e``
+    is appended right after the run-page reads of pulls ``<= e``; the
+    replay keeps that order, and with it every simulated page access.
+    """
+    rows = merged.rows
+    prefix = _DECORATION.itemsize
+    tags = np.ascontiguousarray(rows[:, :prefix]).view(_DECORATION)[:, 0]
+    leaf_col = tags["leaf"]
+    starts = np.searchsorted(leaf_col, np.arange(num_leaves + 1)).tolist()
+    counts = np.bincount(
+        leaf_col * height + (tags["section"] - 1), minlength=num_leaves * height
+    ).reshape(num_leaves, height).tolist()
+    append = writer.append_leaf_bytes
+    for leaf in range(num_leaves):
+        lo, hi = starts[leaf], starts[leaf + 1]
+        if hi > lo:
+            merged.read_through(hi)
+            append(leaf, counts[leaf], rows[lo:hi, prefix:].tobytes())
+
+
 # ---------------------------------------------------------------------------
 # Phase 1 helpers
 # ---------------------------------------------------------------------------
@@ -339,7 +380,9 @@ def _splits_by_rank(
     at rank ``(j * arity + i) * n // arity^s`` of the sorted order — the
     equi-depth quantiles of that node's data span (medians for arity 2,
     exactly Figure 7).  All required ranks are fetched in one
-    skip-sequential pass.
+    skip-sequential pass: the sorted ranks are grouped by page, so each
+    needed page is read once, in ascending order, and visited only for its
+    own ranks — linear in pages plus ranks.
     """
     n = sorted_file.num_records
     wanted: set[int] = {0, n - 1}  # domain bounds
@@ -350,13 +393,13 @@ def _splits_by_rank(
 
     per_page = sorted_file.records_per_page
     keys_at_rank: dict[int, float] = {}
-    needed_pages = sorted({rank // per_page for rank in wanted})
-    for page_index in needed_pages:
+    for page_index, page_ranks in groupby(
+        sorted(wanted), key=lambda rank: rank // per_page
+    ):
         records = sorted_file.read_page_records(page_index)
         base = page_index * per_page
-        for rank in wanted:
-            if base <= rank < base + len(records):
-                keys_at_rank[rank] = key_of(records[rank - base])
+        for rank in page_ranks:
+            keys_at_rank[rank] = key_of(records[rank - base])
 
     lo, hi = keys_at_rank[0], keys_at_rank[n - 1]
     domain = Box.closed([lo], [hi])

@@ -20,7 +20,7 @@ pattern the paper's cost argument relies on.
 from __future__ import annotations
 
 import struct
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import itertools
 
@@ -51,15 +51,6 @@ _EXTENT_PAGES = 256
 _LEAF_MEMO_LEAVES = 4096
 
 
-def _serialize_leaf(schema: Schema, leaf_index: int, sections: list[list[Record]]) -> bytes:
-    parts = [_LEAF_HEADER.pack(leaf_index, len(sections))]
-    for section in sections:
-        parts.append(_SECTION_COUNT.pack(len(section)))
-    for section in sections:
-        parts.append(schema.pack_many(section))
-    return b"".join(parts)
-
-
 class LeafStoreWriter:
     """Streams serialized leaves onto contiguous disk pages.
 
@@ -82,26 +73,46 @@ class LeafStoreWriter:
         self._extent_used = 0
         self._next_leaf = 0
         self._finished = False
+        self._counts = struct.Struct(f"<{height}I")  # the section counts
+        self._empty_counts = self._counts.pack(*[0] * height)
 
     def append_leaf(self, leaf_index: int, sections: list[list[Record]]) -> None:
         """Serialize and append one leaf; fills skipped indexes with empties."""
+        pack_many = self.schema.pack_many
+        self.append_leaf_bytes(
+            leaf_index,
+            [len(section) for section in sections],
+            b"".join(pack_many(section) for section in sections),
+        )
+
+    def append_leaf_bytes(
+        self, leaf_index: int, counts: Sequence[int], payload
+    ) -> None:
+        """Append one leaf given as per-section record counts plus its
+        packed records, sections back to back (the one leaf serializer).
+
+        Missing indexes before ``leaf_index`` become empty leaves; the
+        per-record CPU for the leaf's records is charged after its bytes
+        are appended.
+        """
         if self._finished:
             raise StorageError("leaf store writer already finished")
         if leaf_index < self._next_leaf or leaf_index >= self.num_leaves:
             raise StorageError(
                 f"leaf {leaf_index} out of order (next expected {self._next_leaf})"
             )
-        if len(sections) != self.height:
+        if len(counts) != self.height:
             raise SerializationError(
-                f"leaf {leaf_index} has {len(sections)} sections, need {self.height}"
+                f"leaf {leaf_index} has {len(counts)} sections, need {self.height}"
             )
         while self._next_leaf < leaf_index:
-            self._append_serialized(
-                _serialize_leaf(self.schema, self._next_leaf, [[]] * self.height)
-            )
-            self._next_leaf += 1
-        self._append_serialized(_serialize_leaf(self.schema, leaf_index, sections))
-        self.disk.charge_records(sum(len(s) for s in sections))
+            self._append_empty_leaf()
+        self._append_serialized(
+            _LEAF_HEADER.pack(leaf_index, self.height)
+            + self._counts.pack(*counts)
+            + payload
+        )
+        self.disk.charge_records(sum(counts))
         self._next_leaf += 1
 
     def finish(self) -> "LeafStore":
@@ -109,10 +120,7 @@ class LeafStoreWriter:
         if self._finished:
             raise StorageError("leaf store writer already finished")
         while self._next_leaf < self.num_leaves:
-            self._append_serialized(
-                _serialize_leaf(self.schema, self._next_leaf, [[]] * self.height)
-            )
-            self._next_leaf += 1
+            self._append_empty_leaf()
         self._flush_full_pages(final=True)
 
         directory = b"".join(_DIR_ENTRY.pack(off) for off in self._offsets)
@@ -134,6 +142,12 @@ class LeafStoreWriter:
         )
 
     # -- internals ---------------------------------------------------------
+
+    def _append_empty_leaf(self) -> None:
+        self._append_serialized(
+            _LEAF_HEADER.pack(self._next_leaf, self.height) + self._empty_counts
+        )
+        self._next_leaf += 1
 
     def _append_serialized(self, blob: bytes) -> None:
         self._buffer.extend(blob)
@@ -204,6 +218,11 @@ class LeafStore:
     def num_pages(self) -> int:
         """Data pages plus directory pages."""
         return len(self._data_page_ids) + len(self._dir_page_ids)
+
+    @property
+    def page_ids(self) -> tuple[int, ...]:
+        """Data page ids in leaf order, then the directory's page ids."""
+        return tuple(self._data_page_ids) + tuple(self._dir_page_ids)
 
     @property
     def total_bytes(self) -> int:

@@ -32,7 +32,10 @@ last record, and output pages are written after every page-worth of pulls.
 The simulated disk therefore sees the identical access sequence — same
 reads, same writes, same interleaving, same seek/sequential classification,
 same charge order — while the per-record Python heap machinery, record
-decoding and re-encoding disappear from the real wall clock.
+decoding and re-encoding disappear from the real wall clock.  A sink
+that understands the packed layout may take the merged rows of
+:class:`MergedStream` and drive the replay itself (ACE Phase 2 builds its
+leaves that way), so the final merge need not decode at all.
 
 Runs too large to retain (``_RETAIN_LIMIT_BYTES``), and sorts where some
 run lacks retained state, fall back to the streaming decorate-sort-
@@ -61,7 +64,7 @@ from ..obs.tracer import TRACER
 from .heapfile import PAGE_HEADER_SIZE, HeapFile, _packed_page_images
 from .recovery import read_page_resilient
 
-__all__ = ["external_sort", "external_sort_to_sink", "merge_runs"]
+__all__ = ["MergedStream", "external_sort", "external_sort_to_sink", "merge_runs"]
 
 KeyFunc = Callable[[Record], object]
 T = TypeVar("T")
@@ -204,6 +207,11 @@ def external_sort_to_sink(
     The final merge is pipelined into ``sink`` instead of being written back
     to disk, mirroring how a real bulk loader consumes its last merge pass.
     Returns whatever ``sink`` returns.  The intermediate runs are freed.
+
+    ``sink`` receives an iterator of the sorted records.  On the planned
+    merge it is a :class:`MergedStream`, whose ``rows`` lets a sink that
+    understands the packed layout skip decoding (ACE Phase 2 builds its
+    leaves from them); iterating it is always equivalent.
     """
     with TRACER.span("external_sort.total", disk=source.disk):
         runs, schema = _generate_runs(
@@ -224,7 +232,7 @@ def external_sort_to_sink(
             source.disk.charge_records(int(total * math.log2(len(runs))))
             metas = [getattr(run, "_sort_meta", None) for run in runs]
             if all(meta is not None for meta in metas):
-                stream = _planned_merge_stream(runs, metas, schema)
+                stream = _planned_merge(runs, metas, schema)[0]
             else:
                 stream = map(
                     _undecorate,
@@ -712,45 +720,24 @@ def _planned_merge_to_file(
     """Merge retained runs into a heap file, replaying the exact page
     access sequence of the streaming merge."""
     disk = runs[0].disk
-    morder, run_per_position, allkeys = _merge_order(metas)
+    merged, morder, allkeys = _planned_merge(runs, metas, schema)
     total = len(morder)
-    records: list[Record] | None = None
-    rows: np.ndarray | None = None
+    per_page = runs[0].records_per_page
     images = None
-    if metas[0].rows is not None:
-        rows = np.concatenate([meta.rows for meta in metas])[morder]
+    if merged.rows is not None:
         images, _page_counts = _packed_page_images(
-            memoryview(rows).cast("B"), total, runs[0].records_per_page,
+            memoryview(merged.rows).cast("B"), total, per_page,
             schema.record_size, disk.page_size,
         )
-    else:
-        pooled: list[Record] = []
-        for meta in metas:
-            pooled.extend(meta.records)
-        records = [pooled[i] for i in morder.tolist()]
-    events = _read_schedule(runs, run_per_position)
-    per_page = runs[0].records_per_page
     result = HeapFile(disk, schema, name)
-    for pid, count in _initial_reads(runs):
-        read_page_resilient(disk, pid)
-        disk.charge_records(count)
-    e, num_events = 0, len(events)
     for page_no, lo in enumerate(range(0, total, per_page)):
         hi = min(lo + per_page, total)
         # Run-page reads triggered by pulls lo..hi-1 precede this write.
-        while e < num_events and events[e][0] < hi:
-            _, pid, count = events[e]
-            read_page_resilient(disk, pid)
-            disk.charge_records(count)
-            e += 1
+        merged.read_through(hi - 1)
         if images is not None:
-            pid = result._next_page_id()
-            disk.write_page(pid, images[page_no].tobytes())
-            disk.charge_records(hi - lo)
-            result._page_ids.append(pid)
-            result._num_records += hi - lo
+            result._store_page(images[page_no].tobytes(), hi - lo)
         else:
-            result._write_full_page(records[lo:hi])
+            result._write_full_page(merged.records[lo:hi])
     for run in runs:
         run.free()
     if retain_meta:
@@ -758,41 +745,110 @@ def _planned_merge_to_file(
             sorted_keys = allkeys[morder]
         else:
             sorted_keys = [allkeys[i] for i in morder.tolist()]
-        result._sort_meta = _RunMeta(sorted_keys, rows, records)
+        result._sort_meta = _RunMeta(sorted_keys, merged.rows, merged.records)
     return result
 
 
-def _planned_merge_stream(
-    runs: list[HeapFile], metas: list[_RunMeta], schema: Schema
-) -> Iterator[Record]:
-    """Merged record stream from retained runs, replaying the streaming
-    merge's page reads at the exact pulls they would occur on."""
-    disk = runs[0].disk
-    morder, run_per_position, _allkeys = _merge_order(metas)
-    total = len(morder)
+class MergedStream:
+    """The final merge of retained runs, as handed to a sink.
+
+    Iterating it yields the merged records, replaying the streaming
+    merge's run-page reads at the exact pulls they would occur on: the
+    first page of every run when the first record is pulled, each later
+    page during the pull that follows the yield of the previous page's
+    last record.  That is all a record sink needs.
+
+    Exactly one of ``rows`` and ``records`` is set, as the runs retained
+    them: the merged order as an ``(n, record_size)`` uint8 array of packed
+    rows, or as a list of records.  A consumer that works on the packed
+    rows instead of decoded records drives the replay itself: it calls
+    :meth:`read_through` with position ``p`` before doing what a record
+    sink does once it has pulled record ``p`` (``p == n`` for what it does
+    after the stream is exhausted), so the simulated disk sees the
+    identical interleaving of reads, writes and charges.  The merge into a
+    heap file is such a consumer: it writes each output page after the
+    reads of the pulls that filled it.
+    """
+
+    __slots__ = ("rows", "records", "_schema", "_runs", "_run_per_position",
+                 "_events", "_next", "_stream")
+
+    def __init__(self, runs: list[HeapFile], run_per_position: np.ndarray,
+                 schema: Schema, rows=None,
+                 records: list[Record] | None = None) -> None:
+        self.rows = rows
+        self.records = records
+        self._schema = schema
+        self._runs = runs
+        self._run_per_position = run_per_position
+        self._events: list[tuple[int, int, int]] | None = None
+        self._next = 0
+        self._stream: Iterator[Record] | None = None
+
+    def read_through(self, position: int) -> None:
+        """Issue every read the streaming merge has made once record
+        ``position`` is pulled (idempotent for positions already passed)."""
+        disk = self._runs[0].disk
+        charge = disk.charge_records
+        events = self._events
+        if events is None:
+            # The first pull primes the heap with every run's first page.
+            # The schedule is worked out here, after the consumer has set
+            # up (the file merge has built its page images): worked out up
+            # front, it left about 30 MB more memory resident (fragmented,
+            # not live) after the three 2^19-record builds of the 1-D
+            # experiments (ACE Tree, permuted file, B+-Tree).
+            events = self._events = _read_schedule(
+                self._runs, self._run_per_position
+            )
+            for pid, count in _initial_reads(self._runs):
+                read_page_resilient(disk, pid)
+                charge(count)
+        e = self._next
+        num_events = len(events)
+        while e < num_events and events[e][0] <= position:
+            _, pid, count = events[e]
+            read_page_resilient(disk, pid)
+            charge(count)
+            e += 1
+        self._next = e
+
+    def __iter__(self) -> Iterator[Record]:
+        # One shared generator: ``for`` loops iterate it at C speed, and a
+        # sink may mix explicit ``next`` calls with iteration.
+        if self._stream is None:
+            self._stream = self._replay()
+        return self._stream
+
+    def __next__(self) -> Record:
+        return next(iter(self))
+
+    def _replay(self) -> Iterator[Record]:
+        items = self.records
+        if items is None:
+            items = self._schema.unpack_many(
+                memoryview(self.rows).cast("B"), len(self.rows)
+            )
+        self.read_through(0)
+        prev = 0
+        for pull, _pid, _count in self._events:
+            yield from items[prev:pull]
+            # The pull of record `pull` advances the drained stream first.
+            self.read_through(pull)
+            prev = pull
+        yield from items[prev:]
+
+
+def _planned_merge(runs: list[HeapFile], metas: list[_RunMeta], schema: Schema):
+    """``(merged stream, merged order, concatenated keys)`` of retained runs."""
+    morder, run_per_position, allkeys = _merge_order(metas)
+    rows = records = None
     if metas[0].records is not None:
         pooled: list[Record] = []
         for meta in metas:
             pooled.extend(meta.records)
-        items = [pooled[i] for i in morder.tolist()]
+        records = [pooled[i] for i in morder.tolist()]
     else:
         rows = np.concatenate([meta.rows for meta in metas])[morder]
-        items = schema.unpack_many(memoryview(rows).cast("B"), total)
-    events = _read_schedule(runs, run_per_position)
-    initial = _initial_reads(runs)
-
-    def stream() -> Iterator[Record]:
-        charge = disk.charge_records
-        for pid, count in initial:
-            read_page_resilient(disk, pid)
-            charge(count)
-        prev = 0
-        for pull, pid, count in events:
-            yield from items[prev:pull]
-            # The pull of record `pull` advances the drained stream first.
-            read_page_resilient(disk, pid)
-            charge(count)
-            prev = pull
-        yield from items[prev:]
-
-    return stream()
+    merged = MergedStream(runs, run_per_position, schema, rows=rows, records=records)
+    return merged, morder, allkeys

@@ -153,11 +153,42 @@ class HeapFile:  # repro: shared[owner=serve.scheduler] append path is build-tim
             view, count, per_page, size, disk.page_size
         )
         for i, page_count in enumerate(counts):
-            pid = heap._next_page_id()
-            disk.write_page(pid, images[i].tobytes())
-            disk.charge_records(page_count)
-            heap._page_ids.append(pid)
-        heap._num_records = count
+            heap._store_page(images[i].tobytes(), page_count)
+        return heap
+
+    @classmethod
+    def load_packed_chunks(
+        cls,
+        disk: SimulatedDisk,
+        schema: Schema,
+        chunks: Iterable,
+        name: str = "",
+    ) -> "HeapFile":
+        """Create a heap file from a stream of packed-record buffers.
+
+        Each page is written as soon as it fills, before the next chunk is
+        pulled; the last, partial page is written at the end.  Chunk
+        boundaries need not align with pages.  Pages, charges and their order
+        relative to whatever producing a chunk costs are those of
+        :meth:`bulk_load` over the decoded records, which pulls a page's
+        worth of records at a time; only a page at a time is buffered.
+        """
+        heap = cls(disk, schema, name)
+        size = schema.record_size
+        page_bytes = heap.records_per_page * size
+        buf = bytearray()
+        for chunk in chunks:
+            buf += chunk
+            while len(buf) >= page_bytes:
+                heap._write_packed_page(memoryview(buf)[:page_bytes])
+                del buf[:page_bytes]
+        if len(buf) % size:
+            raise HeapFileError(
+                f"packed stream of {heap._num_records * size + len(buf)} bytes "
+                f"is not whole {size}-byte records"
+            )
+        if buf:
+            heap._write_packed_page(buf)
         return heap
 
     # -- geometry ----------------------------------------------------------
@@ -232,12 +263,20 @@ class HeapFile:  # repro: shared[owner=serve.scheduler] append path is build-tim
         used = PAGE_HEADER_SIZE + self.schema.pack_many_into(
             buf, PAGE_HEADER_SIZE, page_records
         )
-        pid = self._next_page_id()
         # bytes() copies, so the reused buffer never aliases a stored page.
-        self.disk.write_page(pid, bytes(memoryview(buf)[:used]))
-        self.disk.charge_records(len(page_records))
+        self._store_page(bytes(memoryview(buf)[:used]), len(page_records))
+
+    def _write_packed_page(self, payload) -> None:
+        count = len(payload) // self.schema.record_size
+        self._store_page(_COUNT_HEADER.pack(count) + payload, count)
+
+    def _store_page(self, image: bytes, count: int) -> None:
+        """Write one page image holding ``count`` records at the file's end."""
+        pid = self._next_page_id()
+        self.disk.write_page(pid, image)
+        self.disk.charge_records(count)
         self._page_ids.append(pid)
-        self._num_records += len(page_records)
+        self._num_records += count
 
     def _next_page_id(self) -> int:
         if not self._extents or self._extent_used == self._extents[-1][1]:

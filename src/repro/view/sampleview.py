@@ -42,16 +42,26 @@ def create_sample_view(
         seed=seed,
     )
     tree = build_ace_tree(source, params)
-    return MaterializedSampleView(name=name, tree=tree, seed=seed)
+    return MaterializedSampleView(
+        name=name, tree=tree, seed=seed, height=height,
+        memory_pages=memory_pages,
+    )
 
 
 @dataclass
 class MaterializedSampleView:
-    """An ACE-Tree-backed sample view with a differential update path."""
+    """An ACE-Tree-backed sample view with a differential update path.
+
+    ``height`` and ``memory_pages`` are the build settings the view was
+    created with; :meth:`refresh` rebuilds with them (``height=None`` is
+    the auto-chosen height, re-chosen for the refreshed size).
+    """
 
     name: str
     tree: AceTree
     seed: int = 0
+    height: int | None = None
+    memory_pages: int = 64
 
     def __post_init__(self) -> None:
         self._delta: list[Record] = []
@@ -87,16 +97,22 @@ class MaterializedSampleView:
             self.tree.schema.validate(record)
         self._delta.extend(records)
 
-    def refresh(self, memory_pages: int = 64) -> None:
+    def refresh(self, memory_pages: int | None = None) -> None:
         """Rebuild the ACE Tree over base + delta (the paper's fallback for
-        bulk updates: reorganize from scratch with two external sorts)."""
+        bulk updates: reorganize from scratch with two external sorts).
+
+        The rebuild keeps the view's creation ``height`` and, unless
+        ``memory_pages`` is given, its creation sort memory.  The merged
+        relation is the tree's leaves in index order followed by the delta,
+        copied as packed bytes: each leaf is read once, in order, and every
+        page that fills is written before the next leaf is read.
+        """
         if not self._delta:
             return
-        disk = self.tree.disk
-        merged = HeapFile.bulk_load(
-            disk,
+        merged = HeapFile.load_packed_chunks(
+            self.tree.disk,
             self.tree.schema,
-            self._all_records(),
+            self._packed_chunks(),
             name=f"{self.name}.refresh",
         )
         old_tree = self.tree
@@ -104,8 +120,10 @@ class MaterializedSampleView:
             merged,
             AceBuildParams(
                 key_fields=self.key_fields,
-                height=None,
-                memory_pages=memory_pages,
+                height=self.height,
+                memory_pages=(
+                    self.memory_pages if memory_pages is None else memory_pages
+                ),
                 seed=self.seed + 1,
             ),
         )
@@ -113,9 +131,13 @@ class MaterializedSampleView:
         old_tree.free()
         self._delta = []
 
-    def _all_records(self) -> Iterator[Record]:
-        yield from _scan_tree_records(self.tree)
-        yield from self._delta
+    def _packed_chunks(self) -> Iterator[bytes | memoryview]:
+        """Every record of the view as packed bytes: each leaf's payload
+        (its sections back to back), then the delta."""
+        store = self.tree.leaf_store
+        for leaf_index in range(store.num_leaves):
+            yield store.read_leaf_view(leaf_index).page.payload
+        yield self.tree.schema.pack_many(self._delta)
 
     # -- sampling -----------------------------------------------------------------
 
@@ -191,10 +213,3 @@ class MaterializedSampleView:
     def free(self) -> None:
         self.tree.free()
         self._delta = []
-
-
-def _scan_tree_records(tree: AceTree) -> Iterator[Record]:
-    """Every record stored in the tree, via a sequential leaf-store scan."""
-    for leaf in tree.leaf_store.iter_leaves():
-        for section in leaf.sections:
-            yield from section

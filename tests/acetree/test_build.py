@@ -3,9 +3,10 @@
 import pytest
 
 from repro.acetree import AceBuildParams, build_ace_tree
+from repro.acetree.build import _splits_by_rank
 from repro.core import Field, Schema
 from repro.core.errors import IndexBuildError
-from repro.storage import CostModel, HeapFile, SimulatedDisk
+from repro.storage import CostModel, HeapFile, SimulatedDisk, external_sort
 
 from ..conftest import make_kv_records, make_xy_records
 
@@ -215,3 +216,62 @@ class TestKdBuild:
         heap = HeapFile.bulk_load(disk, schema, make_xy_records(100))
         with pytest.raises(IndexBuildError):
             build_ace_tree(heap, AceBuildParams(key_fields=("x", "y"), height=2))
+
+
+class _CountingPage(list):
+    """A decoded page that counts the lookups made on it."""
+
+    calls = 0
+
+    def __len__(self):
+        _CountingPage.calls += 1
+        return super().__len__()
+
+    def __getitem__(self, index):
+        _CountingPage.calls += 1
+        return super().__getitem__(index)
+
+
+class TestSplitLookupComplexity:
+    """The 1-D split lookup is linear in pages plus wanted ranks.
+
+    A lookup that scans every wanted rank for each needed page does
+    pages x ranks work (about 65 x 2049 ``len`` calls here) and turned the
+    default-height build quadratic.
+    """
+
+    def test_each_page_read_once_and_work_linear(self, disk):
+        schema = Schema([Field("k", "i8"), Field("v", "f8")])
+        heap = HeapFile.bulk_load(
+            disk, schema, [(k, v) for k, v, _pad in make_kv_records(2**13, seed=9)]
+        )
+        sorted_file = external_sort(heap, key_field="k")
+        reads: list[int] = []
+        real_read = sorted_file.read_page_records
+
+        def counting_read(index):
+            reads.append(index)
+            return _CountingPage(real_read(index))
+
+        sorted_file.read_page_records = counting_read
+        _CountingPage.calls = 0
+        height = 12
+        domain, splits = _splits_by_rank(
+            sorted_file, schema.key_getter("k"), height
+        )
+
+        n = sorted_file.num_records
+        per_page = sorted_file.records_per_page
+        ranks = {0, n - 1} | {
+            ((2 * j + 1) * n) // 2**level
+            for level in range(1, height)
+            for j in range(2 ** (level - 1))
+        }
+        pages = sorted({rank // per_page for rank in ranks})
+        assert reads == pages
+        assert _CountingPage.calls <= 4 * (len(ranks) + len(pages))
+        # The lookup still finds the right keys.
+        keys = sorted(k for k, _v in heap.scan())
+        assert domain.sides[0].lo == keys[0]
+        assert splits[0] == [(keys[n // 2],)]
+        assert len(splits) == height - 1

@@ -14,12 +14,13 @@ Three families of invariants guard the wall-clock optimizations:
 import importlib
 import struct
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.acetree import AceBuildParams, build_ace_tree
 from repro.core import Field, Schema
 from repro.storage import CostModel, HeapFile, SimulatedDisk, external_sort
+from repro.view import create_sample_view
 
 ext_sort_mod = importlib.import_module("repro.storage.external_sort")
 
@@ -173,44 +174,145 @@ class TestFastPathEqualsStreamingPath:
         assert [records[i] for i in order] == sorted(records, key=key)
 
 
-class TestAceBuildFastPathEquivalence:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=10**6),
-                st.floats(allow_nan=False, width=64),
-                st.binary(max_size=6),
-            ),
-            min_size=8,
-            max_size=120,
-        ),
-        st.integers(0, 3),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_build_identical_with_fast_path_off(self, records, seed):
-        """The whole construction pipeline — vectorized decorate, planned
-        merges, replayed page schedule — yields the same tree bytes and the
-        same simulated clock as the streaming implementation."""
+def _store_image(tree) -> tuple[bytes, ...]:
+    """Raw bytes of every data and directory page of a tree's leaf store,
+    read without moving the simulated clock."""
+    disk = tree.disk
+    with disk.unmetered():
+        return tuple(disk.read_page(pid) for pid in tree.leaf_store.page_ids)
 
+
+def _with_fast_path(fast: bool, fn):
+    old = ext_sort_mod.USE_FAST_PATH
+    ext_sort_mod.USE_FAST_PATH = fast
+    try:
+        return fn()
+    finally:
+        ext_sort_mod.USE_FAST_PATH = old
+
+
+class _LoggingDisk(SimulatedDisk):
+    """A simulated disk that also logs every page access and per-record
+    charge, in order, so two runs can be compared access for access."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.log: list[tuple] = []
+
+    def read_page(self, pid: int) -> bytes:
+        self.log.append(("read", pid))
+        return super().read_page(pid)
+
+    def touch_pages(self, pids) -> None:
+        self.log.append(("touch", tuple(pids)))
+        super().touch_pages(pids)
+
+    def write_page(self, pid: int, data: bytes) -> None:
+        self.log.append(("write", pid))
+        super().write_page(pid, data)
+
+    def charge_records(self, count: int) -> None:
+        self.log.append(("charge", count))
+        super().charge_records(count)
+
+
+def _logging_disk() -> _LoggingDisk:
+    return _LoggingDisk(page_size=1024, cost=CostModel.scaled(1024))
+
+
+def _disk_outcome(disk):
+    stats = disk.stats
+    return (
+        disk.clock, (stats.page_reads, stats.page_writes, stats.seeks), disk.log
+    )
+
+
+ace_record = st.tuples(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(allow_nan=False, width=64),
+    st.binary(max_size=6),
+)
+
+
+class TestAceBuildFastPathEquivalence:
+    """The whole construction pipeline — vectorized decorate, planned
+    merges, the byte-level leaf sink and its replayed page schedule —
+    yields the same leaf-store bytes, the same reads/writes/seeks and the
+    same simulated clock as the streaming implementation.  Small sort
+    memory forces multi-run merges, so the planned final merge runs."""
+
+    @given(
+        st.lists(ace_record, min_size=8, max_size=240),
+        st.integers(0, 3),
+        st.sampled_from([3, 4, None]),
+        st.sampled_from([2, 3]),
+        st.integers(3, 6),
+    )
+    @example(
+        records=[(i * 7919 % 1000, float(i), b"x") for i in range(200)],
+        seed=1, height=None, arity=2, memory_pages=3,
+    )
+    @example(
+        records=[(i * 7919 % 1000, float(i), b"") for i in range(200)],
+        seed=2, height=3, arity=3, memory_pages=4,
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_build_identical_with_fast_path_off(
+        self, records, seed, height, arity, memory_pages
+    ):
         def build(fast):
-            disk = SimulatedDisk(page_size=1024, cost=CostModel.scaled(1024))
+            disk = _logging_disk()
             heap = HeapFile.bulk_load(disk, SORT_SCHEMA, records)
-            old = ext_sort_mod.USE_FAST_PATH
-            ext_sort_mod.USE_FAST_PATH = fast
-            try:
-                tree = build_ace_tree(
-                    heap,
-                    AceBuildParams(key_fields=("k",), height=3, seed=seed),
-                )
-            finally:
-                ext_sort_mod.USE_FAST_PATH = old
+            tree = _with_fast_path(fast, lambda: build_ace_tree(
+                heap,
+                AceBuildParams(
+                    key_fields=("k",), height=height, seed=seed, arity=arity,
+                    memory_pages=memory_pages,
+                ),
+            ))
+            outcome = _disk_outcome(disk)
             leaves = [
                 tree.leaf_store.read_leaf(i)
                 for i in range(tree.num_leaves)
             ]
-            return leaves, disk.clock
+            return outcome, tree.leaf_store.page_ids, _store_image(tree), leaves
 
-        fast_leaves, fast_clock = build(True)
-        slow_leaves, slow_clock = build(False)
-        assert fast_leaves == slow_leaves
-        assert fast_clock == slow_clock
+        fast = build(True)
+        slow = build(False)
+        # Bit-identical clock, reads/writes/seeks, and the same accesses
+        # and charges in the same order.
+        assert fast[0] == slow[0]
+        assert fast[1] == slow[1]  # same pages
+        assert fast[2] == slow[2]  # byte-identical data and directory pages
+        assert fast[3] == slow[3]
+
+    @given(
+        st.lists(ace_record, min_size=8, max_size=240),
+        st.lists(ace_record, min_size=1, max_size=80),
+        st.sampled_from([None, 3]),
+        st.integers(3, 6),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_refresh_identical_with_fast_path_off(
+        self, records, fresh, height, memory_pages
+    ):
+        """A refresh (leaf rescan, then a rebuild through the leaf sink)
+        costs and writes the same with the fast path on and off."""
+
+        def refreshed(fast):
+            disk = _logging_disk()
+            heap = HeapFile.bulk_load(disk, SORT_SCHEMA, records)
+
+            def run():
+                view = create_sample_view(
+                    "v", heap, ("k",), height=height,
+                    memory_pages=memory_pages, seed=5,
+                )
+                view.insert(fresh)
+                view.refresh()
+                return view
+
+            view = _with_fast_path(fast, run)
+            return _disk_outcome(disk), _store_image(view.tree)
+
+        assert refreshed(True) == refreshed(False)

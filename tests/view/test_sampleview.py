@@ -1,13 +1,16 @@
 """Tests for the materialized sample view facade and differential updates."""
 
+import hashlib
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.errors import SchemaError
-from repro.storage import HeapFile
+from repro.storage import CostModel, HeapFile, SimulatedDisk
 from repro.view import create_sample_view
+from repro.workloads import generate_sale_1d
 
 from ..conftest import make_kv_records
 
@@ -127,3 +130,60 @@ class TestRefresh:
         tree_before = v.tree
         v.refresh()
         assert v.tree is tree_before
+
+    def test_refresh_keeps_explicit_height_and_sort_memory(self, disk, kv_schema):
+        records = make_kv_records(600, seed=5)
+        heap = HeapFile.bulk_load(disk, kv_schema, records)
+        v = create_sample_view(
+            "tall", heap, index_on=("k",), height=10, memory_pages=16, seed=1
+        )
+        assert v.tree.height == 10
+        v.insert(make_kv_records(40, seed=6))
+        v.refresh()
+        # The auto height for 640 records on this disk is far lower.
+        assert v.tree.height == 10
+        assert v.tree.num_records == 640
+        assert v.memory_pages == 16
+
+    def test_refresh_memory_override_and_default_height(self, disk, kv_schema):
+        heap = HeapFile.bulk_load(disk, kv_schema, make_kv_records(600, seed=5))
+        v = create_sample_view("auto", heap, index_on=("k",), seed=1)
+        auto_height = v.tree.height
+        v.insert(make_kv_records(40, seed=6))
+        v.refresh(memory_pages=3)
+        assert v.tree.height == auto_height
+        assert v.tree.num_records == 640
+
+
+class TestRefreshGolden:
+    """Pins the refresh path's simulated cost and output bytes.
+
+    The byte-level leaf rescan has no streaming twin, so these values —
+    recorded from the record-at-a-time rescan (decode every leaf, then
+    ``HeapFile.bulk_load``) before it was replaced — are its oracle.
+    """
+
+    def test_refresh_clock_io_and_leaf_bytes(self):
+        disk = SimulatedDisk(page_size=4096, cost=CostModel.scaled(4096))
+        relation = generate_sale_1d(disk, 2**12, seed=7)
+        v = create_sample_view("golden", relation, ["day"], seed=3)
+        rng = random.Random(11)
+        v.insert([
+            (rng.randrange(500), rng.randrange(10**6), rng.randrange(10**6),
+             rng.randrange(10**6), b"")
+            for _ in range(256)
+        ])
+        v.refresh()
+        stats = disk.stats
+        assert (v.tree.height, v.tree.num_leaves) == (9, 256)
+        assert disk.clock.hex() == "0x1.53f152931fca8p-1"
+        assert (stats.page_reads, stats.page_writes, stats.seeks) == (
+            1449, 1093, 1224
+        )
+        digest = hashlib.sha256()
+        with disk.unmetered():
+            for pid in v.tree.leaf_store.page_ids:
+                digest.update(disk.read_page(pid))
+        assert digest.hexdigest() == (
+            "12991817d3994bb8882630f7e6986a483f4e14538cffb645caaf129a63c299fa"
+        )
